@@ -18,7 +18,12 @@ import (
 	"testing"
 
 	"ptgsched"
+	"ptgsched/internal/alloc"
 	"ptgsched/internal/benchsuite"
+	"ptgsched/internal/daggen"
+	"ptgsched/internal/mapping"
+	"ptgsched/internal/simexec"
+	"ptgsched/internal/strategy"
 )
 
 // benchCampaign shrinks a figure config to benchmark size.
@@ -257,7 +262,10 @@ func BenchmarkFairShare1000Flows(b *testing.B) {
 }
 
 // BenchmarkPipelineStages isolates the cost of each stage of the paper's
-// pipeline on one 10-PTG batch.
+// pipeline on one 10-PTG batch. alloc-own+paper-set is one static
+// point's allocation work: every graph grown for M_own's β = 1 and every
+// paper strategy's β from one shared log. map+execute maps and simulates
+// the same allocations: each graph alone, then the batch per strategy.
 func BenchmarkPipelineStages(b *testing.B) {
 	pf := ptgsched.Rennes()
 	graphs := benchBatch(10, 19)
@@ -267,6 +275,57 @@ func BenchmarkPipelineStages(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if sched.Schedule(graphs, ptgsched.WPS(ptgsched.Width, 0.5)).GlobalMakespan() <= 0 {
 				b.Fatal("empty schedule")
+			}
+		}
+	})
+
+	ref := pf.ReferenceCluster()
+	strats := strategy.PaperSet(daggen.FamilyRandom)
+	// rows[i] holds graph i's constraints and allocations: β = 1, then
+	// one per strategy.
+	betas := make([][]float64, len(graphs))
+	rows := make([][]*alloc.Allocation, len(graphs))
+	for i := range graphs {
+		betas[i] = []float64{1}
+		for range strats {
+			rows[i] = append(rows[i], &alloc.Allocation{})
+		}
+		rows[i] = append(rows[i], &alloc.Allocation{})
+	}
+	for _, st := range strats {
+		for i, beta := range st.Betas(graphs, ref) {
+			betas[i] = append(betas[i], beta)
+		}
+	}
+	var gr alloc.Grower
+	grow := func() {
+		for i, g := range graphs {
+			gr.Grow(rows[i], g, ref, betas[i], alloc.SCRAPMAX)
+		}
+	}
+	b.Run("alloc-own+paper-set", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			grow()
+		}
+	})
+
+	grow()
+	exec := simexec.NewScratch()
+	apps := make([]*alloc.Allocation, len(graphs))
+	b.Run("map+execute", func(b *testing.B) {
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			for i := range graphs {
+				exec.Execute(mapping.Map(pf, rows[i][:1], mapping.Options{}))
+			}
+			for k := range strats {
+				for i := range graphs {
+					apps[i] = rows[i][k+1]
+				}
+				if exec.Execute(mapping.Map(pf, apps, mapping.Options{})).Makespan <= 0 {
+					b.Fatal("empty schedule")
+				}
 			}
 		}
 	})

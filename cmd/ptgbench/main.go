@@ -386,10 +386,11 @@ func campaignMode(w io.Writer, specPath, shard, jsonlPath, merge, storeDir strin
 	}
 
 	// Unsharded run: stream every completed point straight into the
-	// incremental aggregator (and the optional JSONL sink, in completion
-	// order — aggregation and -merge reorder by index, so order on disk
-	// never matters).
+	// incremental aggregator, and into the optional JSONL sink in point
+	// index order, so the file is byte-identical at every worker count
+	// (aggregation and -merge accept any order).
 	var sink *bufio.Writer
+	sweep := e.RunEachMemo
 	if jsonlPath != "" {
 		f, err := os.Create(jsonlPath)
 		if err != nil {
@@ -397,6 +398,7 @@ func campaignMode(w io.Writer, specPath, shard, jsonlPath, merge, storeDir strin
 		}
 		defer f.Close()
 		sink = bufio.NewWriter(f)
+		sweep = e.RunEachOrderedMemo
 	}
 	set := e.All()
 	agg := e.NewAggregator()
@@ -405,7 +407,7 @@ func campaignMode(w io.Writer, specPath, shard, jsonlPath, merge, storeDir strin
 		return fmt.Sprintf("campaign %s: %d/%d points", name, done.Load(), set.Len())
 	})
 	var lineBuf []byte // reused across emits; emit calls are serialized
-	err = e.RunEachMemo(set, workers, memo, func(r ptgsched.CampaignPointResult) error {
+	err = sweep(set, workers, memo, func(r ptgsched.CampaignPointResult) error {
 		if sink != nil {
 			var err error
 			lineBuf, err = ptgsched.AppendCampaignJSONL(lineBuf[:0], r)

@@ -63,63 +63,75 @@ func (r *Result) Makespan(i int) float64 { return r.Exec.AppMakespans[i] }
 func (r *Result) GlobalMakespan() float64 { return r.Exec.Makespan }
 
 // Schedule runs the full pipeline on a batch of concurrently-submitted
-// PTGs under the given constraint-determination strategy.
+// PTGs under the given constraint-determination strategy. The returned
+// Result is the caller's: nothing in it is shared with later calls.
 func (s *Scheduler) Schedule(graphs []*dag.Graph, strat strategy.Strategy) *Result {
-	if len(graphs) == 0 {
-		panic("core: empty batch")
-	}
-	ref := s.Platform.ReferenceCluster()
-	betas := strat.Betas(graphs, ref)
-	apps := make([]*alloc.Allocation, len(graphs))
-	for i, g := range graphs {
-		apps[i] = alloc.Compute(g, ref, betas[i], s.Procedure)
-	}
-	sched := mapping.Map(s.Platform, apps, s.MapOptions)
-	return &Result{
-		Strategy:    strat,
-		Betas:       betas,
-		Allocations: apps,
-		Schedule:    sched,
-		Exec:        simexec.Execute(sched),
-	}
+	return s.ScheduleWith(NewScratch(), graphs, strat)
 }
 
-// Scratch amortizes a scheduler's per-call state — most importantly the
-// simulated executor's engine, flow net and buffers — across the many
-// batches one worker schedules. A Scratch must be confined to one
-// goroutine; the Result ScheduleWith returns (and the Evaluation slices
-// EvaluateWith fills) are scratch-owned and overwritten by the next call
-// on the same Scratch, so callers consume them before scheduling again.
+// Scratch amortizes a scheduler's per-call state — the simulated
+// executor's engine, flow net and buffers, the growth log and the
+// allocation matrix — across the many batches one worker schedules. A
+// Scratch must be confined to one goroutine; the Result ScheduleWith
+// returns (with its allocations, and the Evaluation slices EvaluateWith
+// fills) is scratch-owned and overwritten by the next call on the same
+// Scratch, so callers consume it before scheduling again.
 type Scratch struct {
-	exec  *simexec.Scratch
+	exec *simexec.Scratch
+	grow alloc.Grower
+	// arena backs the allocation matrix; cells points into it.
+	arena []alloc.Allocation
+	cells []*alloc.Allocation
 	apps  []*alloc.Allocation
+	betas [][]float64
+	set   []float64
+	own   []float64
 	alone [1]*dag.Graph
+	one   [1]*alloc.Allocation
+	unit  [1]float64
 	slow  []float64
 	res   Result
 }
 
 // NewScratch returns an empty scratch ready for ScheduleWith.
 func NewScratch() *Scratch {
-	return &Scratch{exec: simexec.NewScratch()}
+	return &Scratch{exec: simexec.NewScratch(), unit: [1]float64{1}}
+}
+
+// matrix returns n scratch-owned allocations, recycling their buffers.
+func (sc *Scratch) matrix(n int) []*alloc.Allocation {
+	if len(sc.arena) < n {
+		// Growing may move the arena; the cells are re-pointed, and the
+		// moved values keep their Procs buffers.
+		sc.arena = append(sc.arena, make([]alloc.Allocation, n-len(sc.arena))...)
+		sc.cells = sc.cells[:0]
+		for k := range sc.arena {
+			sc.cells = append(sc.cells, &sc.arena[k])
+		}
+	}
+	return sc.cells[:n]
 }
 
 // ScheduleWith is Schedule on a reusable worker-owned scratch. The
 // returned Result belongs to the scratch: it is valid until the next
-// ScheduleWith or ScheduleAloneWith call on sc. The computation is
-// bit-identical to Schedule.
+// ScheduleWith, ScheduleAloneWith or ScheduleBatch call on sc. The
+// computation is bit-identical to Schedule.
 func (s *Scheduler) ScheduleWith(sc *Scratch, graphs []*dag.Graph, strat strategy.Strategy) *Result {
 	if len(graphs) == 0 {
 		panic("core: empty batch")
 	}
 	ref := s.Platform.ReferenceCluster()
 	betas := strat.Betas(graphs, ref)
-	if cap(sc.apps) < len(graphs) {
-		sc.apps = make([]*alloc.Allocation, len(graphs))
-	}
-	apps := sc.apps[:len(graphs)]
+	apps := sc.matrix(len(graphs))
 	for i, g := range graphs {
-		apps[i] = alloc.Compute(g, ref, betas[i], s.Procedure)
+		sc.grow.Grow(apps[i:i+1], g, ref, betas[i:i+1], s.Procedure)
 	}
+	return s.execute(sc, strat, betas, apps)
+}
+
+// execute maps one batch's allocations and simulates the schedule: the
+// tail every entry point shares. The Result is scratch-owned.
+func (s *Scheduler) execute(sc *Scratch, strat strategy.Strategy, betas []float64, apps []*alloc.Allocation) *Result {
 	sched := mapping.Map(s.Platform, apps, s.MapOptions)
 	sc.res = Result{
 		Strategy:    strat,
@@ -142,6 +154,62 @@ func (s *Scheduler) ScheduleAlone(g *dag.Graph) float64 {
 func (s *Scheduler) ScheduleAloneWith(sc *Scratch, g *dag.Graph) float64 {
 	sc.alone[0] = g
 	return s.ScheduleWith(sc, sc.alone[:], strategy.S()).Makespan(0)
+}
+
+// ScheduleBatch schedules a batch under every strategy of strats, and
+// each of its PTGs alone, from a single allocation pass: each graph is
+// grown once for M_own's β = 1 and every strategy's β (alloc.Grower),
+// then the allocations are mapped and executed per configuration. It
+// first computes own[i] = M_own of graphs[i] (ScheduleAlone's value),
+// then calls each(k, res, own) for every strategy k in order, where res
+// is what ScheduleWith(graphs, strats[k]) returns. res and own are
+// scratch-owned: res is valid during the call, own until the next call
+// on sc. Every value is bit-identical to the separate calls.
+func (s *Scheduler) ScheduleBatch(sc *Scratch, graphs []*dag.Graph, strats []strategy.Strategy, each func(k int, res *Result, own []float64)) {
+	if len(graphs) == 0 {
+		panic("core: empty batch")
+	}
+	ref := s.Platform.ReferenceCluster()
+	n, cols := len(graphs), len(strats)+1
+	sc.betas = resize(sc.betas, len(strats))
+	for k, strat := range strats {
+		sc.betas[k] = strat.Betas(graphs, ref)
+	}
+	// Row i of the matrix holds graph i's allocations: β = 1 first, then
+	// one per strategy.
+	m := sc.matrix(n * cols)
+	set := resize(sc.set, cols)
+	sc.set = set
+	for i, g := range graphs {
+		set[0] = 1
+		for k := range strats {
+			set[k+1] = sc.betas[k][i]
+		}
+		sc.grow.Grow(m[i*cols:(i+1)*cols], g, ref, set, s.Procedure)
+	}
+
+	own := resize(sc.own, n)
+	sc.own = own
+	for i := range graphs {
+		sc.one[0] = m[i*cols]
+		own[i] = s.execute(sc, strategy.S(), sc.unit[:], sc.one[:]).Makespan(0)
+	}
+	apps := resize(sc.apps, n)
+	sc.apps = apps
+	for k, strat := range strats {
+		for i := range graphs {
+			apps[i] = m[i*cols+k+1]
+		}
+		each(k, s.execute(sc, strat, sc.betas[k], apps), own)
+	}
+}
+
+// resize returns s with length n, reusing its capacity when possible.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Evaluation bundles the paper's metrics for one scheduled batch.

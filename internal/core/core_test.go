@@ -131,3 +131,53 @@ func TestStrategiesProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestScheduleBatchMatchesSeparateCalls holds the single allocation pass
+// to the separate entry points: M_own equals ScheduleAlone, and every
+// strategy's result equals Schedule's — allocations, per-application and
+// global makespans, bit for bit — across families, sites and one scratch
+// reused for every batch.
+func TestScheduleBatchMatchesSeparateCalls(t *testing.T) {
+	sc := core.NewScratch()
+	for seed := int64(0); seed < 6; seed++ {
+		fam := daggen.Family(seed % 3)
+		r := rand.New(rand.NewSource(seed))
+		gs := make([]*dag.Graph, 2+int(seed)%4)
+		for i := range gs {
+			gs[i] = daggen.Generate(fam, r)
+		}
+		pf := platform.Grid5000Sites()[seed%4]
+		sched := core.New(pf)
+		strats := strategy.PaperSet(fam)
+		calls := 0
+		sched.ScheduleBatch(sc, gs, strats, func(k int, res *core.Result, own []float64) {
+			if k != calls {
+				t.Fatalf("seed %d: strategy %d delivered as call %d", seed, k, calls)
+			}
+			calls++
+			for i, g := range gs {
+				if want := sched.ScheduleAlone(g); own[i] != want {
+					t.Fatalf("seed %d: M_own[%d] = %v, ScheduleAlone %v", seed, i, own[i], want)
+				}
+			}
+			want := sched.Schedule(gs, strats[k])
+			if res.Strategy != strats[k] || res.GlobalMakespan() != want.GlobalMakespan() {
+				t.Fatalf("seed %d %s: makespan %v, Schedule %v", seed, strats[k], res.GlobalMakespan(), want.GlobalMakespan())
+			}
+			for i := range gs {
+				if res.Betas[i] != want.Betas[i] || res.Makespan(i) != want.Makespan(i) {
+					t.Fatalf("seed %d %s app %d: β %v makespan %v, Schedule β %v makespan %v",
+						seed, strats[k], i, res.Betas[i], res.Makespan(i), want.Betas[i], want.Makespan(i))
+				}
+				for id, p := range res.Allocations[i].Procs {
+					if p != want.Allocations[i].Procs[id] {
+						t.Fatalf("seed %d %s app %d task %d: %d procs, Schedule %d", seed, strats[k], i, id, p, want.Allocations[i].Procs[id])
+					}
+				}
+			}
+		})
+		if calls != len(strats) {
+			t.Fatalf("seed %d: %d strategy results for %d strategies", seed, calls, len(strats))
+		}
+	}
+}

@@ -263,15 +263,15 @@ type Measurement struct {
 }
 
 // Scratch amortizes one worker's per-run state — the core scheduler
-// scratch (simulation engine, flow net, executor buffers) plus the run's
-// graph and M_own slices and a per-platform scheduler — across the many
-// runs a pool slot executes. A Scratch must be confined to one goroutine.
+// scratch (simulation engine, flow net, executor buffers, growth log and
+// allocation matrix) plus the run's graph slice and a per-platform
+// scheduler — across the many runs a pool slot executes. A Scratch must
+// be confined to one goroutine.
 // The Measurements RunOneWith returns are NOT scratch-owned: their slices
 // are freshly allocated, so results may be retained and batched freely.
 type Scratch struct {
 	core   *core.Scratch
 	graphs []*dag.Graph
-	own    []float64
 	// Scheduler cache keyed by platform index; pfs guards reuse across
 	// calls with different Config values.
 	pfs    []*platform.Platform
@@ -327,22 +327,16 @@ func RunOneWith(cfg Config, point, rep, pfIdx int, sc *Scratch) Measurement {
 	pf := cfg.Platforms[pfIdx]
 	sched := sc.schedulerFor(pf, pfIdx)
 
-	sc.own = growSlice(sc.own, n)
-	own := sc.own
-	for i, g := range graphs {
-		own[i] = sched.ScheduleAloneWith(sc.core, g)
-	}
-
 	m := Measurement{
 		Unfairness: make([]float64, len(cfg.Strategies)),
 		Makespan:   make([]float64, len(cfg.Strategies)),
 	}
-	for s, strat := range cfg.Strategies {
-		res := sched.ScheduleWith(sc.core, graphs, strat)
+	// One allocation pass serves M_own and every strategy.
+	sched.ScheduleBatch(sc.core, graphs, cfg.Strategies, func(s int, res *core.Result, own []float64) {
 		ev := res.EvaluateWith(sc.core, own)
 		m.Unfairness[s] = ev.Unfairness
 		m.Makespan[s] = ev.Makespan
-	}
+	})
 	m.Rel = metrics.RelativeMakespans(m.Makespan)
 	return m
 }

@@ -14,7 +14,9 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ptgsched/internal/dag"
 )
@@ -154,6 +156,116 @@ func TestRunMemoWorkerInvariance(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		if got := jsonlBytes(t, e.Run(set, workers)); !bytes.Equal(got, want) {
 			t.Fatalf("Run with %d workers differs from 1-worker reference", workers)
+		}
+	}
+}
+
+// TestRunEachOrderedMemoEmitsSetOrder: the ordered runner delivers the
+// j-th emit for set.At(j) — so a JSONL stream written from emit is
+// byte-identical to the sequential reference without any sorting — at
+// every worker count, for the whole set and for a strided shard, with and
+// without a memo.
+func TestRunEachOrderedMemoEmitsSetOrder(t *testing.T) {
+	e := mustExpand(t, mustParse(t, determinismSpec))
+	shard, err := e.Shard(1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, set := range []IndexSet{e.All(), shard} {
+		want := jsonlBytes(t, e.Run(set, 1))
+		for _, workers := range []int{1, 2, 8} {
+			for _, memo := range []*mapMemo{nil, newMapMemo()} {
+				var got []PointResult
+				var m Memo
+				if memo != nil {
+					m = memo
+				}
+				if err := e.RunEachOrderedMemo(set, workers, m, func(r PointResult) error {
+					got = append(got, r)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(jsonlBytes(t, got), want) {
+					t.Fatalf("set of %d, workers=%d, memo=%v: emitted stream differs from the sequential reference",
+						set.Len(), workers, memo != nil)
+				}
+			}
+		}
+	}
+}
+
+// windowMemo serves every point as an instant synthetic hit, stalling on
+// point 0, and records how many points were under way but not yet
+// emitted whenever one starts.
+type windowMemo struct {
+	started, emitted atomic.Int64
+	maxPending       atomic.Int64
+}
+
+func (w *windowMemo) Lookup(p Point) (PointResult, bool) {
+	if p.Index == 0 {
+		time.Sleep(50 * time.Millisecond)
+	}
+	pending := w.started.Add(1) - w.emitted.Load()
+	for {
+		cur := w.maxPending.Load()
+		if pending <= cur || w.maxPending.CompareAndSwap(cur, pending) {
+			break
+		}
+	}
+	return PointResult{Index: p.Index, Cell: p.Cell, Name: p.Name}, true
+}
+
+func (w *windowMemo) Publish(Point, PointResult) {}
+
+// TestRunEachOrderedMemoBoundsTheWindow: while the first point stalls,
+// the other workers may run ahead by at most workers × the emit batch
+// points, and the order still holds.
+func TestRunEachOrderedMemoBoundsTheWindow(t *testing.T) {
+	e := mustExpand(t, mustParse(t, `{
+		"name": "window", "seed": 3, "reps": 300, "nptgs": [2],
+		"platforms": ["lille", "rennes"], "families": [{"family": "strassen"}]
+	}`))
+	set := e.All()
+	for _, workers := range []int{2, 4} {
+		m := &windowMemo{}
+		next := 0
+		if err := e.RunEachOrderedMemo(set, workers, m, func(r PointResult) error {
+			if r.Index != set.At(next) {
+				return fmt.Errorf("emit %d carries point %d", next, r.Index)
+			}
+			next++
+			m.emitted.Add(1)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		window := int64(workers * defaultEmitBatch)
+		// The stall lets the others fill the window, never more.
+		if next != set.Len() || m.maxPending.Load() > window || m.maxPending.Load() < window/2 {
+			t.Fatalf("workers=%d: %d of %d emitted, up to %d points pending (window %d)",
+				workers, next, set.Len(), m.maxPending.Load(), window)
+		}
+	}
+}
+
+// TestRunEachOrderedMemoFirstErrorStops: after emit returns an error no
+// further result is emitted and the sweep returns that error.
+func TestRunEachOrderedMemoFirstErrorStops(t *testing.T) {
+	e := mustExpand(t, mustParse(t, determinismSpec))
+	sentinel := errors.New("sink full")
+	for _, workers := range []int{1, 2, 8} {
+		emitted := 0
+		err := e.RunEachOrderedMemo(e.All(), workers, nil, func(PointResult) error {
+			emitted++
+			if emitted == 5 {
+				return sentinel
+			}
+			return nil
+		})
+		if !errors.Is(err, sentinel) || emitted != 5 {
+			t.Fatalf("workers=%d: err = %v after %d emits, want the emit error after 5", workers, err, emitted)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package scenario
 
-import "ptgsched/internal/experiment"
+import (
+	"sync"
+
+	"ptgsched/internal/experiment"
+)
 
 // Memo is a per-point memoization source consulted by every sweep engine
 // (RunMemo, RunEachMemo, a store.Sweep with a memo attached, the service
@@ -71,4 +75,57 @@ func (e *Expansion) RunEachMemo(set IndexSet, workers int, m Memo, emit func(Poi
 // RunEachIsolatedMemo is RunEachIsolated with a memo consulted per point.
 func (e *Expansion) RunEachIsolatedMemo(set IndexSet, workers int, m Memo, emit func(PointResult) error) error {
 	return e.runEach(set, workers, 0, true, m, emit)
+}
+
+// RunEachOrderedMemo is RunEachMemo with emit calls in set order: the
+// j-th call carries point set.At(j), at every worker count, so a stream
+// written from emit is byte-identical however the sweep is fanned out.
+// Results wait in a reorder window of Workers(set.Len(), workers) ×
+// the default emit batch slots. A worker that draws a point past the
+// window waits until the window's oldest point has been emitted, so the
+// window bounds memory however uneven point costs are. emit calls are
+// serialized; the first emit error stops the sweep and is returned.
+func (e *Expansion) RunEachOrderedMemo(set IndexSet, workers int, m Memo, emit func(PointResult) error) error {
+	n := set.Len()
+	nw := experiment.Workers(n, workers)
+	window := min(nw*defaultEmitBatch, max(n, 1))
+	slots := make([]PointResult, window)
+	ready := make([]bool, window)
+	scratches := make([]*Scratch, nw)
+	var (
+		mu   sync.Mutex
+		cond = sync.NewCond(&mu)
+		next int // position in set of the next point to emit
+		err  error
+	)
+	experiment.ForEachWorker(n, workers, func(w, j int) {
+		mu.Lock()
+		// Points are drawn in position order, so the point at next is
+		// already being computed by a worker that does not wait here.
+		for err == nil && j >= next+window {
+			cond.Wait()
+		}
+		stopped := err != nil
+		mu.Unlock()
+		if stopped {
+			return
+		}
+		if scratches[w] == nil {
+			scratches[w] = NewScratch()
+		}
+		r := e.ComputePointScratch(scratches[w], e.PointAt(set.At(j)), m)
+
+		mu.Lock()
+		defer mu.Unlock()
+		slots[j%window], ready[j%window] = r, true
+		for err == nil && ready[next%window] {
+			k := next % window
+			out := slots[k]
+			slots[k], ready[k] = PointResult{}, false
+			next++
+			err = emit(out)
+		}
+		cond.Broadcast()
+	})
+	return err
 }

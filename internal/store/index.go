@@ -3,11 +3,14 @@ package store
 import (
 	"bufio"
 	"bytes"
+	"cmp"
+	"container/heap"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 
 	"ptgsched/internal/query"
@@ -387,59 +390,138 @@ func (seg *segment) snapshotRuns() ([]run, int64) {
 // runs are fetched with one ReadAt each, and their records decode,
 // validate, pass the residual per-record filter (runs straddling a
 // boundary carry non-matching neighbors) and the plan's strategy
-// projection before emission. Records arrive in segment order, then
-// byte order — exactly QueryFullScan's order, so the two paths are
-// byte-for-byte comparable. Safe under concurrent appends: each
-// segment's index is snapshotted, and runs only ever describe fully
-// written records.
+// projection before emission.
+//
+// Records arrive in global index order, whatever order they were
+// appended in (concurrent sweeps append in completion order): each
+// fetched run is sorted — runs hold at most maxRunRecords records until
+// compaction merges them — and the runs of every segment are k-way
+// merged. A run is fetched only when
+// its lowest index is the smallest pending key, so memory holds just the
+// runs whose index spans overlap. QueryFullScan emits the same records
+// in the same order. Safe under concurrent appends: each segment's index
+// is snapshotted, and runs only ever describe fully written records.
 func (s *Store) Query(p *query.Plan, fn func(scenario.PointResult) error) (QueryStats, error) {
 	var st QueryStats
 	if err := s.checkPlan(p); err != nil {
 		return st, err
 	}
 	st.SegmentsTotal = len(s.segs)
-	buf := make([]byte, 0, 256*1024)
+	var h runHeap
 	for i, seg := range s.segs {
 		runs, end := seg.snapshotRuns()
 		st.RunsTotal += len(runs)
 		st.BytesTotal += end
-		var matched []run
+		matched := 0
 		for _, r := range runs {
 			if p.OverlapsSelection(r.lo, r.hi) {
-				matched = append(matched, r)
+				h = append(h, &runCursor{key: r.lo, seg: i, r: r})
+				matched++
 			}
 		}
-		if len(matched) == 0 {
-			continue
+		if matched > 0 {
+			st.SegmentsTouched++
+			st.RunsMatched += matched
 		}
-		st.SegmentsTouched++
-		st.RunsMatched += len(matched)
-		f, err := os.Open(segmentPath(s.dir, i))
-		if err != nil {
-			return st, err
-		}
-		for _, r := range matched {
-			if int64(cap(buf)) < r.len {
-				buf = make([]byte, r.len)
-			}
-			b := buf[:r.len]
-			if _, err := f.ReadAt(b, r.off); err != nil {
+	}
+	heap.Init(&h)
+
+	files := make([]*os.File, len(s.segs))
+	defer func() {
+		for _, f := range files {
+			if f != nil {
 				f.Close()
-				return st, fmt.Errorf("store: reading indexed run of %s: %w", segmentPath(s.dir, i), err)
 			}
-			st.BytesRead += r.len
-			if err := s.emitRun(p, i, r, b, &st, fn); err != nil {
-				f.Close()
+		}
+	}()
+	buf := make([]byte, 0, 256*1024)
+	for len(h) > 0 {
+		c := h[0]
+		if !c.read {
+			// The run's lowest index is the smallest pending key: fetch
+			// it, keep its matching records sorted, and requeue it under
+			// its first record.
+			f := files[c.seg]
+			if f == nil {
+				var err error
+				if f, err = os.Open(segmentPath(s.dir, c.seg)); err != nil {
+					return st, err
+				}
+				files[c.seg] = f
+			}
+			if int64(cap(buf)) < c.r.len {
+				buf = make([]byte, c.r.len)
+			}
+			b := buf[:c.r.len]
+			if _, err := f.ReadAt(b, c.r.off); err != nil {
+				return st, fmt.Errorf("store: reading indexed run of %s: %w", segmentPath(s.dir, c.seg), err)
+			}
+			st.BytesRead += c.r.len
+			recs, err := s.decodeRun(p, c.seg, c.r, b, &st)
+			if err != nil {
 				return st, err
 			}
+			c.read, c.recs = true, recs
+		} else {
+			st.Emitted++
+			if err := fn(c.recs[0]); err != nil {
+				return st, err
+			}
+			c.recs = c.recs[1:]
 		}
-		f.Close()
+		if len(c.recs) == 0 {
+			heap.Pop(&h)
+			continue
+		}
+		c.key = c.recs[0].Index
+		heap.Fix(&h, 0)
 	}
 	return st, nil
 }
 
-// emitRun decodes one fetched byte run and streams its matching records.
-func (s *Store) emitRun(p *query.Plan, segIdx int, r run, b []byte, st *QueryStats, fn func(scenario.PointResult) error) error {
+// runCursor is one input of Query's merge: a matching run not yet read,
+// keyed by its lowest index, or the sorted records left of a read run,
+// keyed by the next one's index.
+type runCursor struct {
+	key  int
+	seg  int
+	r    run
+	read bool
+	recs []scenario.PointResult
+}
+
+// runHeap orders cursors by key. On equal keys an unread run comes
+// first (it may hold that index), then segment and byte order, so the
+// merge is deterministic.
+type runHeap []*runCursor
+
+func (h runHeap) Len() int { return len(h) }
+func (h runHeap) Less(i, j int) bool {
+	a, b := h[i], h[j]
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	if a.read != b.read {
+		return !a.read
+	}
+	if a.seg != b.seg {
+		return a.seg < b.seg
+	}
+	return a.r.off < b.r.off
+}
+func (h runHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *runHeap) Push(x any)   { *h = append(*h, x.(*runCursor)) }
+func (h *runHeap) Pop() any {
+	old := *h
+	c := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return c
+}
+
+// decodeRun decodes one fetched byte run and returns its matching,
+// projected records sorted by index.
+func (s *Store) decodeRun(p *query.Plan, segIdx int, r run, b []byte, st *QueryStats) ([]scenario.PointResult, error) {
+	recs := make([]scenario.PointResult, 0, r.n)
 	for len(b) > 0 {
 		nl := bytes.IndexByte(b, '\n')
 		var line []byte
@@ -453,33 +535,39 @@ func (s *Store) emitRun(p *query.Plan, segIdx int, r run, b []byte, st *QuerySta
 		}
 		var rec scenario.PointResult
 		if err := json.Unmarshal(line, &rec); err != nil {
-			return fmt.Errorf("store: %s: corrupt record inside indexed run [%d,%d): %w (delete the .idx sidecar to force a rebuild)",
+			return nil, fmt.Errorf("store: %s: corrupt record inside indexed run [%d,%d): %w (delete the .idx sidecar to force a rebuild)",
 				segmentPath(s.dir, segIdx), r.off, r.off+r.len, err)
 		}
 		st.LinesDecoded++
 		if err := s.validate(rec, segIdx); err != nil {
-			return fmt.Errorf("store: %s: %w", segmentPath(s.dir, segIdx), err)
+			return nil, fmt.Errorf("store: %s: %w", segmentPath(s.dir, segIdx), err)
 		}
 		if !p.Matches(rec.Index) {
 			continue
 		}
 		out, err := p.Project(rec)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		st.Emitted++
-		if err := fn(out); err != nil {
-			return err
-		}
+		recs = append(recs, out)
 	}
-	return nil
+	sortByIndex(recs)
+	return recs, nil
+}
+
+// sortByIndex orders records by point index; a stable sort keeps the
+// byte order of equal indices.
+func sortByIndex(recs []scenario.PointResult) {
+	slices.SortStableFunc(recs, func(a, b scenario.PointResult) int { return cmp.Compare(a.Index, b.Index) })
 }
 
 // QueryFullScan is Query's oracle: the same selection and projection
 // computed the pre-index way, by decoding every record of every segment
 // and filtering afterwards. It exists for differential testing and for
-// auditing what pushdown saves (its stats count the full scan); results
-// are emitted in the same order as Query.
+// auditing what pushdown saves (its stats count the full scan). It
+// gathers the whole selection and sorts it by index before emitting, so
+// its order is Query's global index order while sharing none of Query's
+// merge; its memory grows with the selection.
 func (s *Store) QueryFullScan(p *query.Plan, fn func(scenario.PointResult) error) (QueryStats, error) {
 	var st QueryStats
 	if err := s.checkPlan(p); err != nil {
@@ -487,6 +575,7 @@ func (s *Store) QueryFullScan(p *query.Plan, fn func(scenario.PointResult) error
 	}
 	st.SegmentsTotal = len(s.segs)
 	st.SegmentsTouched = len(s.segs)
+	var recs []scenario.PointResult
 	for i, seg := range s.segs {
 		runs, end := seg.snapshotRuns()
 		st.RunsTotal += len(runs)
@@ -505,10 +594,17 @@ func (s *Store) QueryFullScan(p *query.Plan, fn func(scenario.PointResult) error
 			if err != nil {
 				return err
 			}
-			st.Emitted++
-			return fn(out)
+			recs = append(recs, out)
+			return nil
 		})
 		if err != nil {
+			return st, err
+		}
+	}
+	sortByIndex(recs)
+	for _, r := range recs {
+		st.Emitted++
+		if err := fn(r); err != nil {
 			return st, err
 		}
 	}

@@ -461,3 +461,61 @@ func TestAggregateWhereMatchesManualReduction(t *testing.T) {
 		t.Fatalf("match-all rows %d, filtered rows %d", len(all), len(rows))
 	}
 }
+
+// TestQueryEmitsGlobalIndexOrder: whatever order records were appended
+// in — a full shuffle, or the near-sorted completion order of a
+// concurrent sweep — both query paths emit exactly the plan's selection
+// in ascending global index order, across shard counts.
+func TestQueryEmitsGlobalIndexOrder(t *testing.T) {
+	e := expand(t, twoFamilySpec)
+	n := e.NumPoints()
+	rng := rand.New(rand.NewSource(7))
+	nearSorted := make([]int, n)
+	for i := range nearSorted {
+		nearSorted[i] = i
+	}
+	for i := 0; i+1 < n; i += 2 + rng.Intn(3) {
+		nearSorted[i], nearSorted[i+1] = nearSorted[i+1], nearSorted[i]
+	}
+	queries := []query.Query{
+		{To: query.NoLimit},
+		{From: 7, To: 13},
+		{From: 40, To: 250, Family: "fft"},
+		{Strategy: "ES", To: query.NoLimit},
+	}
+	for trial, order := range [][]int{rng.Perm(n), nearSorted} {
+		for _, shards := range []int{1, 2, 3} {
+			dir := filepath.Join(t.TempDir(), fmt.Sprintf("order-%d-%d", trial, shards))
+			s := fillStore(t, dir, e, shards, order)
+			for _, q := range queries {
+				p := compile(t, e, q)
+				var want []int
+				for i := 0; i < n; i++ {
+					if p.Matches(i) {
+						want = append(want, i)
+					}
+				}
+				for _, full := range []bool{false, true} {
+					var got []int
+					fn := func(r scenario.PointResult) error {
+						got = append(got, r.Index)
+						return nil
+					}
+					var err error
+					if full {
+						_, err = s.QueryFullScan(p, fn)
+					} else {
+						_, err = s.Query(p, fn)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("trial %d shards=%d q=%s full=%v: emitted %v, want %v", trial, shards, q, full, got, want)
+					}
+				}
+			}
+			s.Close()
+		}
+	}
+}
